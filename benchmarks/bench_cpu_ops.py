@@ -1,26 +1,22 @@
 #!/usr/bin/env python
-"""CPU micro-benchmark: single-thread ops/sec per layout, strategy, and op.
+"""CPU micro-benchmark: single-thread ops/sec per strategy and op.
 
 Measures the interpreter-level cost of the index hot paths — update, range
-query, and kNN — for the TD and GBU strategies in both physical node layouts
-(``object`` and ``packed``), and writes a schema-versioned JSON report that
-is checked in at the repository root (``BENCH_cpu_ops.json``) as the per-PR
-CPU performance trajectory.
+query, and kNN — for the TD and GBU strategies, and writes a
+schema-versioned JSON report that is checked in at the repository root
+(``BENCH_cpu_ops.json``) as the CPU performance trajectory, together with
+the machine it ran on.
 
 Unlike the figure benchmarks (which count simulated disk I/O), the numbers
 here are wall-clock rates: they track how fast the data structure itself
-runs, which is exactly what the packed columnar layout and the batch kernels
-change.  Both layouts execute identical logical work — the equivalence suite
-(``tests/test_layout_equivalence.py``) proves answers and I/O counts match —
-so the ratio packed/object is a pure CPU-efficiency measurement.
+runs — the columnar nodes and the batch kernels.
 
 Methodology
 -----------
-Every (strategy, layout) cell is run ``--repeats`` times with layouts
-interleaved inside each repeat (so machine-load noise hits both layouts
-alike), and each op reports its **best** repeat: noise on a shared box only
-ever makes a run slower, so the fastest repeat is the closest estimate of
-the true cost.
+Every strategy cell is run ``--repeats`` times with strategies interleaved
+inside each repeat, and each op reports its **best** repeat: noise on a
+shared box only ever makes a run slower, so the fastest repeat is the
+closest estimate of the true cost.
 
 Usage::
 
@@ -28,15 +24,14 @@ Usage::
     python benchmarks/bench_cpu_ops.py --scale 0.05    # CI smoke scale
     python benchmarks/bench_cpu_ops.py --check         # validate existing JSON
 
-``--check`` validates the report's schema and fails (exit 1) when the packed
-layout regresses below ``--min-update-speedup`` (default 1.0) on any update
-benchmark.
+``--check`` validates the report's schema (exit 1 on any problem).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import random
 import sys
@@ -51,9 +46,8 @@ if str(REPO_ROOT / "src") not in sys.path:
 from repro.core import IndexConfig, MovingObjectIndex  # noqa: E402
 from repro.geometry import Point, Rect, kernels  # noqa: E402
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 STRATEGIES = ("TD", "GBU")
-LAYOUTS = ("object", "packed")
 OPS = ("update", "range", "knn")
 
 #: Full-scale workload: the ISSUE's 10k-object update micro-benchmark.
@@ -80,14 +74,14 @@ def make_workload(objects: int, updates: int, ranges: int, knns: int, seed: int)
     return points, moves, windows, knn_points
 
 
-def run_cell(strategy: str, layout: str, workload) -> Dict[str, Tuple[int, float]]:
-    """One full measurement of every op for (strategy, layout).
+def run_cell(strategy: str, workload) -> Dict[str, Tuple[int, float]]:
+    """One full measurement of every op for *strategy*.
 
     Returns ``{op: (ops, seconds)}``.  A fresh index is built per call so the
     update phase always starts from the same tree shape.
     """
     points, moves, windows, knn_points = workload
-    index = MovingObjectIndex(IndexConfig(strategy=strategy, node_layout=layout))
+    index = MovingObjectIndex(IndexConfig(strategy=strategy))
     index.load(points)
 
     timings: Dict[str, Tuple[int, float]] = {}
@@ -117,50 +111,37 @@ def run_benchmark(scale: float, repeats: int, seed: int) -> dict:
     knns = max(10, int(BASE_KNN_QUERIES * scale))
     workload = make_workload(objects, updates, ranges, knns, seed)
 
-    # best[strategy][layout][op] = (ops, best_seconds)
-    best: Dict[str, Dict[str, Dict[str, Tuple[int, float]]]] = {
-        s: {l: {} for l in LAYOUTS} for s in STRATEGIES
-    }
+    # best[strategy][op] = (ops, best_seconds)
+    best: Dict[str, Dict[str, Tuple[int, float]]] = {s: {} for s in STRATEGIES}
     for repeat in range(repeats):
         for strategy in STRATEGIES:
-            for layout in LAYOUTS:
-                timings = run_cell(strategy, layout, workload)
-                cell = best[strategy][layout]
-                for op, (ops, seconds) in timings.items():
-                    if op not in cell or seconds < cell[op][1]:
-                        cell[op] = (ops, seconds)
-                print(
-                    f"  repeat {repeat + 1}/{repeats} {strategy}/{layout}: "
-                    + " ".join(
-                        f"{op}={ops / seconds:.0f}/s"
-                        for op, (ops, seconds) in timings.items()
-                    ),
-                    file=sys.stderr,
-                )
+            timings = run_cell(strategy, workload)
+            cell = best[strategy]
+            for op, (ops, seconds) in timings.items():
+                if op not in cell or seconds < cell[op][1]:
+                    cell[op] = (ops, seconds)
+            print(
+                f"  repeat {repeat + 1}/{repeats} {strategy}: "
+                + " ".join(
+                    f"{op}={ops / seconds:.0f}/s"
+                    for op, (ops, seconds) in timings.items()
+                ),
+                file=sys.stderr,
+            )
 
     results: List[dict] = []
     for strategy in STRATEGIES:
-        for layout in LAYOUTS:
-            for op in OPS:
-                ops, seconds = best[strategy][layout][op]
-                results.append(
-                    {
-                        "strategy": strategy,
-                        "layout": layout,
-                        "op": op,
-                        "ops": ops,
-                        "seconds": round(seconds, 6),
-                        "ops_per_sec": round(ops / seconds, 1),
-                    }
-                )
-
-    derived = {}
-    for strategy in STRATEGIES:
         for op in OPS:
-            obj = best[strategy]["object"][op]
-            packed = best[strategy]["packed"][op]
-            speedup = (obj[1] / obj[0]) / (packed[1] / packed[0])
-            derived[f"{op}_speedup_{strategy}"] = round(speedup, 3)
+            ops, seconds = best[strategy][op]
+            results.append(
+                {
+                    "strategy": strategy,
+                    "op": op,
+                    "ops": ops,
+                    "seconds": round(seconds, 6),
+                    "ops_per_sec": round(ops / seconds, 1),
+                }
+            )
 
     return {
         "schema_version": SCHEMA_VERSION,
@@ -174,16 +155,19 @@ def run_benchmark(scale: float, repeats: int, seed: int) -> dict:
         "knn_k": KNN_K,
         "repeats": repeats,
         "seed": seed,
-        "python": platform.python_version(),
-        "implementation": platform.python_implementation(),
-        "kernel_backend": kernels.get_backend(),
+        "machine": {
+            "cpu_count": os.cpu_count(),
+            "python": platform.python_version(),
+            "implementation": platform.python_implementation(),
+            "platform": platform.platform(),
+            "kernel_backend": kernels.get_backend(),
+        },
         "results": results,
-        "derived": derived,
     }
 
 
-def validate_report(report: dict, min_update_speedup: float) -> List[str]:
-    """Schema + regression validation; returns a list of problems (empty = ok)."""
+def validate_report(report: dict) -> List[str]:
+    """Schema validation; returns a list of problems (empty = ok)."""
     problems: List[str] = []
     if report.get("schema_version") != SCHEMA_VERSION:
         problems.append(
@@ -191,38 +175,29 @@ def validate_report(report: dict, min_update_speedup: float) -> List[str]:
         )
     if report.get("benchmark") != "cpu_ops":
         problems.append(f"benchmark is {report.get('benchmark')!r}, expected 'cpu_ops'")
-    for key in ("scale", "objects", "updates", "python", "kernel_backend", "results", "derived"):
+    for key in ("scale", "objects", "updates", "machine", "results"):
         if key not in report:
             problems.append(f"missing key {key!r}")
     if problems:
         return problems
+    for key in ("cpu_count", "python", "kernel_backend"):
+        if key not in report["machine"]:
+            problems.append(f"machine record missing {key!r}")
 
     seen = set()
     for row in report["results"]:
-        for key in ("strategy", "layout", "op", "ops", "seconds", "ops_per_sec"):
+        for key in ("strategy", "op", "ops", "seconds", "ops_per_sec"):
             if key not in row:
                 problems.append(f"result row missing {key!r}: {row}")
                 break
         else:
             if not (isinstance(row["ops_per_sec"], (int, float)) and row["ops_per_sec"] > 0):
                 problems.append(f"non-positive ops_per_sec: {row}")
-            seen.add((row["strategy"], row["layout"], row["op"]))
+            seen.add((row["strategy"], row["op"]))
     for strategy in STRATEGIES:
-        for layout in LAYOUTS:
-            for op in OPS:
-                if (strategy, layout, op) not in seen:
-                    problems.append(f"missing result cell {(strategy, layout, op)}")
-
-    derived = report["derived"]
-    for strategy in STRATEGIES:
-        key = f"update_speedup_{strategy}"
-        if key not in derived:
-            problems.append(f"derived missing {key!r}")
-        elif derived[key] < min_update_speedup:
-            problems.append(
-                f"{key} = {derived[key]} is below the required minimum "
-                f"{min_update_speedup} (packed layout regression)"
-            )
+        for op in OPS:
+            if (strategy, op) not in seen:
+                problems.append(f"missing result cell {(strategy, op)}")
     return problems
 
 
@@ -239,10 +214,6 @@ def main(argv=None) -> int:
         "--check", action="store_true",
         help="validate the existing report instead of running the benchmark",
     )
-    parser.add_argument(
-        "--min-update-speedup", type=float, default=1.0,
-        help="with --check: fail when packed/object update speedup is below this",
-    )
     args = parser.parse_args(argv)
 
     if args.check:
@@ -251,22 +222,19 @@ def main(argv=None) -> int:
         except (OSError, ValueError) as error:
             print(f"cannot read report {args.output}: {error}", file=sys.stderr)
             return 1
-        problems = validate_report(report, args.min_update_speedup)
+        problems = validate_report(report)
         if problems:
             for problem in problems:
                 print(f"FAIL: {problem}", file=sys.stderr)
             return 1
-        print(
-            f"OK: {args.output} valid; "
-            + ", ".join(f"{k}={v}x" for k, v in sorted(report["derived"].items()) if k.startswith("update"))
-        )
+        print(f"OK: {args.output} valid")
         return 0
 
     report = run_benchmark(args.scale, args.repeats, args.seed)
     args.output.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {args.output}")
-    for key, value in sorted(report["derived"].items()):
-        print(f"  {key}: {value}x")
+    for row in report["results"]:
+        print(f"  {row['strategy']} {row['op']}: {row['ops_per_sec']:.0f} ops/s")
     return 0
 
 

@@ -70,7 +70,6 @@ def config_to_spec(config: IndexConfig) -> Dict[str, Any]:
         "charge_hash_io": config.charge_hash_io,
         "bulk_load_fill": config.bulk_load_fill,
         "min_fill_factor": config.min_fill_factor,
-        "node_layout": config.node_layout,
         "page_store": config.page_store,
         "params": {
             "epsilon": config.params.epsilon,
@@ -82,9 +81,18 @@ def config_to_spec(config: IndexConfig) -> Dict[str, Any]:
     }
 
 
+#: Values of the retired ``node_layout`` field that old specs and
+#: checkpoints may still carry.  Nodes have one layout now, so the key is
+#: accepted and ignored.
+_LEGACY_NODE_LAYOUTS = ("object", "packed")
+
+
 def config_from_spec(spec: Dict[str, Any]) -> IndexConfig:
     """Rebuild an :class:`IndexConfig` from its (possibly partial) spec dict."""
     data = dict(spec)
+    legacy_layout = data.pop("node_layout", "packed")
+    if legacy_layout not in _LEGACY_NODE_LAYOUTS:
+        raise ValueError(f"unknown node layout {legacy_layout!r}")
     params_data = data.pop("params", None)
     params = (
         TuningParameters(**params_data)

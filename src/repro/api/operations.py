@@ -52,6 +52,22 @@ from repro.geometry import Point, Rect
 #: legacy tuple in either the facade or the workload-generator shape.
 OperationLike = Union["Operation", Tuple[Any, ...]]
 
+#: Object ids live in the 4-byte id slot of a leaf entry (the paper's
+#: 4-byte pointers), so the valid range is ``[0, OID_LIMIT)``.
+OID_LIMIT = 2**32
+
+
+def check_oid(oid: Any) -> None:
+    """Reject an object id that is not an ``int`` in ``[0, OID_LIMIT)``.
+
+    Raises :class:`~repro.api.errors.InvalidOperationError`.  Every path
+    that admits an object id calls this before touching index state.
+    """
+    if not isinstance(oid, int) or isinstance(oid, bool) or not 0 <= oid < OID_LIMIT:
+        raise InvalidOperationError(
+            f"object id must be an int in [0, 2**32), got {oid!r}"
+        )
+
 
 @dataclass(frozen=True)
 class Operation:
@@ -141,6 +157,9 @@ class Insert(Operation):
     location: Point
     kind = "insert"
 
+    def __post_init__(self) -> None:
+        check_oid(self.oid)
+
     def normalise(self) -> Tuple[str, Tuple[Any, ...]]:
         return ("insert", (self.oid, self.location))
 
@@ -162,6 +181,9 @@ class Update(Operation):
     new_location: Point
     kind = "update"
 
+    def __post_init__(self) -> None:
+        check_oid(self.oid)
+
     def normalise(self) -> Tuple[str, Tuple[Any, ...]]:
         return ("update", (self.oid, self.new_location))
 
@@ -175,6 +197,9 @@ class Delete(Operation):
 
     oid: int
     kind = "delete"
+
+    def __post_init__(self) -> None:
+        check_oid(self.oid)
 
     def normalise(self) -> Tuple[str, Tuple[Any, ...]]:
         return ("delete", (self.oid,))
@@ -252,4 +277,6 @@ __all__ = [
     "RangeQuery",
     "KNN",
     "Migrate",
+    "OID_LIMIT",
+    "check_oid",
 ]

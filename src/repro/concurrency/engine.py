@@ -380,12 +380,17 @@ class ConcurrentSession:
     def submit(
         self, client: int, *operations: "api_ops.OperationLike"
     ) -> "ConcurrentSession":
-        """Queue typed operations (or legacy tuples) on *client*'s stream."""
+        """Queue typed operations (or legacy tuples) on *client*'s stream.
+
+        Tuples are parsed here, so a malformed operation raises before the
+        session runs anything.
+        """
         if not 0 <= client < self.num_clients:
             raise ValueError(
                 f"client {client} out of range (0..{self.num_clients - 1})"
             )
-        self._queues.setdefault(client, []).extend(operations)
+        parsed = [api_ops.Operation.from_any(operation) for operation in operations]
+        self._queues.setdefault(client, []).extend(parsed)
         return self
 
     def pending(self) -> int:

@@ -29,15 +29,16 @@ class IndexConfig:
       summary structure (Section 3.2); exposed for ablations;
     * ``charge_hash_io`` — charge one disk read per secondary-index probe
       (Section 4.2's accounting); exposed for ablations;
-    * ``node_layout`` — physical in-memory node representation: ``"object"``
-      (one :class:`Entry` per slot, the default) or ``"packed"`` (flat
-      columnar coordinate/id buffers swept by the batch kernels).  Purely a
-      CPU-side choice: answers and I/O counts are identical;
     * ``page_store`` — what a simulated disk page holds: ``"object"`` (the
       node object itself, the default the paper figures are calibrated
       against) or ``"binary"`` (a fixed-format binary image encoded and
       decoded on every page access).  The logical/physical access mapping is
       1:1 either way.
+
+    Nodes always use the columnar layout of :mod:`repro.rtree.node` (flat
+    coordinate and id buffers); it is not configurable.  Older specs and
+    checkpoints that still name a node layout load through
+    :func:`repro.api.builder.config_from_spec`, which drops that key.
     """
 
     page_size: int = 1024
@@ -50,7 +51,6 @@ class IndexConfig:
     charge_hash_io: bool = True
     bulk_load_fill: float = 0.66
     min_fill_factor: float = 0.4
-    node_layout: str = "object"
     page_store: str = "object"
 
     def __post_init__(self) -> None:
@@ -66,8 +66,6 @@ class IndexConfig:
         object.__setattr__(self, "strategy", strategy)
         if self.split not in {"quadratic", "linear", "rstar"}:
             raise ValueError(f"unknown split algorithm {self.split!r}")
-        if self.node_layout not in {"object", "packed"}:
-            raise ValueError(f"unknown node layout {self.node_layout!r}")
         if self.page_store not in {"object", "binary"}:
             raise ValueError(f"unknown page store {self.page_store!r}")
 
@@ -91,8 +89,6 @@ class IndexConfig:
             f"D={self.params.distance_threshold:g}",
             f"L={'max' if self.params.level_threshold is None else self.params.level_threshold}",
         ]
-        if self.node_layout != "object":
-            bits.append(f"layout={self.node_layout}")
         if self.page_store != "object":
             bits.append(f"pages={self.page_store}")
         return " ".join(bits)

@@ -53,6 +53,7 @@ from __future__ import annotations
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.api.errors import DuplicateObjectError, UnknownObjectError
+from repro.api.operations import check_oid
 from repro.api.results import QueryCursor
 from repro.concurrency.dgl import DGLProtocol
 from repro.concurrency.engine import (
@@ -108,18 +109,13 @@ class MovingObjectIndex(SpatialIndexFacade):
         # The buffer is sized after loading (it depends on the database size);
         # start unbuffered so that nothing is cached before the measured phase.
         self.buffer = BufferPool(self.disk, capacity=0, stats=self.stats)
-        page_codec = (
-            NodeCodec(node_layout=self.config.node_layout)
-            if self.config.page_store == "binary"
-            else None
-        )
+        page_codec = NodeCodec() if self.config.page_store == "binary" else None
         self.tree = RTree(
             self.buffer,
             layout=self.layout,
             split_strategy=make_split_strategy(self.config.split),
             store_parent_pointers=self.config.needs_parent_pointers,
             reinsert_on_underflow=self.config.reinsert_on_underflow,
-            node_layout=self.config.node_layout,
             page_codec=page_codec,
         )
         self.hash_index = ObjectHashIndex.build_from_tree(
@@ -163,6 +159,8 @@ class MovingObjectIndex(SpatialIndexFacade):
         one by one through the normal top-down path.
         """
         objects = list(objects)
+        for oid, _location in objects:
+            check_oid(oid)
         if bulk:
             if self.tree.size != 0:
                 raise ValueError("bulk loading requires an empty index")
@@ -245,6 +243,7 @@ class MovingObjectIndex(SpatialIndexFacade):
     # ------------------------------------------------------------------
     def insert(self, oid: int, location: Point) -> None:
         """Insert a new object (:class:`DuplicateObjectError` when it exists)."""
+        check_oid(oid)
         if oid in self._positions:
             raise DuplicateObjectError(oid)
         # Apply first, log on success: a strategy that raises must leave the

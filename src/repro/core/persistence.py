@@ -48,7 +48,7 @@ FORMAT_VERSION = 2
 def _index_document(index: MovingObjectIndex) -> Dict:
     """The checkpoint document body of one single-machine index."""
     index.buffer.flush()
-    codec = NodeCodec(node_layout=index.tree.node_layout)
+    codec = NodeCodec()
     pages = {}
     for node, _parent in index.tree.iter_nodes():
         image = codec.encode(node)
@@ -84,7 +84,7 @@ def _restore_index(document: Dict) -> MovingObjectIndex:
     index.tree._free_node(empty_root)
 
     tree_meta = document["tree"]
-    codec = NodeCodec(node_layout=index.tree.node_layout)
+    codec = NodeCodec()
     restored_pages = {}
     for page_text, image_text in document["pages"].items():
         page_id = int(page_text)
@@ -113,8 +113,7 @@ def _restore_index(document: Dict) -> MovingObjectIndex:
     # Rebuild the derived structures from the restored tree.
     index.hash_index._leaf_of.clear()
     for leaf in index.tree.leaf_nodes():
-        for entry in leaf.entries:
-            index.hash_index._leaf_of[entry.child] = leaf.page_id
+        index.hash_index.on_node_written(leaf)
     if index.summary is not None:
         index.summary.rebuild_from_tree()
 

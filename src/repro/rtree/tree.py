@@ -34,7 +34,7 @@ import heapq
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.geometry import Point, Rect
-from repro.rtree.node import Entry, Node, make_node
+from repro.rtree.node import Entry, Node
 from repro.rtree.observers import ObserverList, TreeObserver
 from repro.rtree.split import QuadraticSplit, SplitStrategy
 from repro.storage.buffer import BufferPool
@@ -61,11 +61,6 @@ class RTree:
         When ``True`` (default) deletion uses Guttman's CondenseTree:
         underflowing nodes are dissolved and their entries re-inserted.
         When ``False`` underflowing nodes are simply left sparse.
-    node_layout:
-        Physical in-memory node representation: ``"object"`` (a list of
-        :class:`Entry` objects, the default) or ``"packed"`` (flat columnar
-        coordinate/id buffers swept by the batch kernels).  Both layouts
-        produce identical answers and identical I/O counts.
     page_codec:
         When given, pages hold fixed-format binary images instead of node
         objects: every :meth:`write_node` encodes and every
@@ -83,7 +78,6 @@ class RTree:
         split_strategy: Optional[SplitStrategy] = None,
         store_parent_pointers: bool = False,
         reinsert_on_underflow: bool = True,
-        node_layout: str = "object",
         page_codec: Optional[NodeCodec] = None,
     ) -> None:
         self.buffer = buffer
@@ -92,7 +86,6 @@ class RTree:
         self.split_strategy = split_strategy if split_strategy is not None else QuadraticSplit()
         self.store_parent_pointers = store_parent_pointers
         self.reinsert_on_underflow = reinsert_on_underflow
-        self.node_layout = node_layout
         self.page_codec = page_codec
 
         self.leaf_capacity = self.layout.leaf_capacity(
@@ -106,7 +99,7 @@ class RTree:
         self.size = 0  # number of indexed objects
         self.height = 1
 
-        root = make_node(self.node_layout, page_id=self.disk.allocate_page(), level=0)
+        root = Node(page_id=self.disk.allocate_page(), level=0)
         self.root_page_id = root.page_id
         self.observers.node_created(root)
         self.write_node(root)
@@ -165,7 +158,7 @@ class RTree:
         return node
 
     def _allocate_node(self, level: int) -> Node:
-        node = make_node(self.node_layout, page_id=self.disk.allocate_page(), level=level)
+        node = Node(page_id=self.disk.allocate_page(), level=level)
         self.observers.node_created(node)
         return node
 
@@ -335,12 +328,10 @@ class RTree:
     def _split_node(self, node: Node) -> Node:
         """Split an overflowing *node*; return the newly created sibling."""
         min_entries = self.min_entries_for_level(node.level)
-        group_a, group_b = self.split_strategy.split(
-            node.materialized_entries(), min_entries
-        )
+        group_a, group_b = self.split_strategy.split(node.entries, min_entries)
         sibling = self._allocate_node(node.level)
-        node.entries = list(group_a)
-        sibling.entries = list(group_b)
+        node.entries = group_a
+        sibling.entries = group_b
         sibling.parent_page_id = node.parent_page_id
         node.stored_mbr = None  # entries were redistributed: any ε-slack is void
         self.write_node(node)
@@ -405,7 +396,7 @@ class RTree:
         ids = list(children)
         if len(set(ids)) != len(ids):
             raise LookupError(f"duplicate entry ids in removal from node {node.page_id}")
-        missing = [child for child in ids if node.find_entry(child) is None]
+        missing = [child for child in ids if not node.has_child(child)]
         if missing:
             raise LookupError(f"entries {missing} not found in node {node.page_id}")
         return [node.remove_entry(child) for child in ids]
@@ -417,10 +408,10 @@ class RTree:
         node is left unchanged in that case.
         """
         capacity = self.capacity_for_level(node.level)
-        if len(node.entries) + len(entries) > capacity:
+        if len(node) + len(entries) > capacity:
             raise ValueError(
                 f"adding {len(entries)} entries would overflow node "
-                f"{node.page_id} (capacity {capacity}, has {len(node.entries)})"
+                f"{node.page_id} (capacity {capacity}, has {len(node)})"
             )
         for entry in entries:
             node.add_entry(entry)
@@ -664,7 +655,7 @@ class RTree:
         # dissolved leaf are data objects, entries of a dissolved internal
         # node are whole subtrees.
         for level, entry in orphans:
-            self._insert_entry(entry.copy(), target_level=level)
+            self._insert_entry(entry, target_level=level)
 
         self._shrink_root_if_needed()
 
@@ -673,7 +664,7 @@ class RTree:
         changed = False
         root = self.read_node(self.root_page_id)
         while not root.is_leaf and len(root) == 1:
-            child_page = root.entry_at(0).child
+            child_page = root.children[0]
             child = self.read_node(child_page)
             self._free_node(root)
             self.root_page_id = child.page_id
@@ -820,7 +811,7 @@ class RTree:
     def root_mbr(self) -> Optional[Rect]:
         """MBR of the whole tree, or ``None`` when the tree is empty (no I/O charged)."""
         root = self.peek_node(self.root_page_id)
-        if not root.entries:
+        if not len(root):
             return None
         return root.mbr()
 

@@ -61,8 +61,7 @@ class ObjectHashIndex(TreeObserver):
         """
         index = cls(stats=stats if stats is not None else tree.disk.stats, charge_io=charge_io)
         for leaf in tree.leaf_nodes():
-            for entry in leaf.entries:
-                index._leaf_of[entry.child] = leaf.page_id
+            index._leaf_of.update(zip(leaf.children, repeat(leaf.page_id)))
         tree.register_observer(index)
         return index
 
@@ -97,7 +96,7 @@ class ObjectHashIndex(TreeObserver):
             return
         # dict.update over a zip runs the per-object loop in C; leaf writes
         # are the single most frequent observer event on the update path.
-        self._leaf_of.update(zip(node.child_ids(), repeat(node.page_id)))
+        self._leaf_of.update(zip(node.children, repeat(node.page_id)))
 
     def on_node_deleted(self, node: Node) -> None:
         """Forget objects whose recorded leaf was deleted.
@@ -110,7 +109,7 @@ class ObjectHashIndex(TreeObserver):
         """
         if not node.is_leaf:
             return
-        for child in node.child_ids():
+        for child in node.children:
             if self._leaf_of.get(child) == node.page_id:
                 del self._leaf_of[child]
 
@@ -129,8 +128,7 @@ class ObjectHashIndex(TreeObserver):
         errors = []
         actual: Dict[int, int] = {}
         for leaf in tree.leaf_nodes():
-            for entry in leaf.entries:
-                actual[entry.child] = leaf.page_id
+            actual.update(zip(leaf.children, repeat(leaf.page_id)))
         for oid, page in actual.items():
             recorded = self._leaf_of.get(oid)
             if recorded != page:

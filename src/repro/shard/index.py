@@ -988,6 +988,9 @@ class ShardedIndex(SpatialIndexFacade):
         loads locally, and re-attaches the same backend over the fresh
         contents.
         """
+        objects = list(objects)
+        for oid, _location in objects:
+            api_ops.check_oid(oid)
         parallel_spec = self.parallel_spec
         if self._backend is not None:
             self.detach_parallel()
@@ -1085,6 +1088,7 @@ class ShardedIndex(SpatialIndexFacade):
     # Data operations
     # ------------------------------------------------------------------
     def insert(self, oid: int, location: Point) -> None:
+        api_ops.check_oid(oid)
         if oid in self._shard_of:
             raise DuplicateObjectError(oid)
         shard_id = self.partitioner.shard_of(location)

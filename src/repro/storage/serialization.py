@@ -26,9 +26,9 @@ Two encoders live here:
   instead of live node objects.  The format is columnar and always binary64
   (the live index must not quantize coordinates): a fixed header, then all
   entry MBRs as one contiguous f64 block, then all entry ids as one
-  contiguous u32 block.  Decoding into the packed node layout is
-  zero-parse — the two blocks are loaded with ``array.frombytes`` straight
-  into the node's column buffers.
+  contiguous u32 block — the node's own column buffers.  Encoding and
+  decoding are zero-parse: the two blocks move with ``array.tobytes`` /
+  ``array.frombytes``.
 
   The physical image of a full node (36 bytes per entry) exceeds the
   paper's logical 1 KB page budget, which assumes 4-byte coordinates.  That
@@ -43,10 +43,10 @@ from __future__ import annotations
 import struct
 import sys
 from array import array
-from typing import List, Optional
+from typing import Optional
 
 from repro.geometry import Rect
-from repro.rtree.node import Entry, Node, PackedNode, make_node
+from repro.rtree.node import Entry, Node
 from repro.storage.sizing import PageLayout
 
 _NO_PARENT = 0xFFFFFFFF
@@ -102,7 +102,7 @@ def serialized_size(node: Node, layout: Optional[PageLayout] = None) -> int:
     layout = layout if layout is not None else PageLayout()
     header_struct, entry_struct = _structs_for(layout)
     header = max(header_struct.size, layout.header_size)
-    return header + len(node.entries) * entry_struct.size
+    return header + len(node) * entry_struct.size
 
 
 def serialize_node(node: Node, layout: Optional[PageLayout] = None) -> bytes:
@@ -124,7 +124,7 @@ def serialize_node(node: Node, layout: Optional[PageLayout] = None) -> bytes:
 
     parent = node.parent_page_id if node.parent_page_id is not None else _NO_PARENT
     header = header_struct.pack(
-        node.level, len(node.entries), parent, flags, *stored_tuple
+        node.level, len(node), parent, flags, *stored_tuple
     )
     header = header.ljust(max(header_struct.size, layout.header_size), b"\x00")
 
@@ -134,7 +134,7 @@ def serialize_node(node: Node, layout: Optional[PageLayout] = None) -> bytes:
 
     if len(body) > layout.page_size:
         raise SerializationError(
-            f"node {node.page_id} with {len(node.entries)} entries needs "
+            f"node {node.page_id} with {len(node)} entries needs "
             f"{len(body)} bytes, page size is {layout.page_size}"
         )
     return bytes(body)
@@ -175,15 +175,6 @@ def deserialize_node(page_id: int, data: bytes, layout: Optional[PageLayout] = N
 class NodeCodec:
     """Lossless columnar page codec for the live binary page store.
 
-    Parameters
-    ----------
-    node_layout:
-        Which node class :meth:`decode` materialises: ``"object"`` builds
-        :class:`~repro.rtree.node.Node` with an :class:`Entry` list,
-        ``"packed"`` builds :class:`~repro.rtree.node.PackedNode` by loading
-        the page's coordinate and id blocks directly into the node's column
-        buffers (zero parsing).
-
     Page image format (little-endian)::
 
         header   <HHIB4d>  level, entry count, parent (0xFFFFFFFF = none),
@@ -195,12 +186,7 @@ class NodeCodec:
     encoded, so the page store never perturbs the index geometry.
     """
 
-    __slots__ = ("node_layout",)
-
-    def __init__(self, node_layout: str = "object") -> None:
-        if node_layout not in ("object", "packed"):
-            raise ValueError(f"unknown node layout: {node_layout!r}")
-        self.node_layout = node_layout
+    __slots__ = ()
 
     # -- encode ----------------------------------------------------------------
     def encode(self, node: Node) -> bytes:
@@ -217,17 +203,12 @@ class NodeCodec:
         image = bytearray(
             _PAGE_HEADER.pack(node.level, count, parent, flags, *stored_tuple)
         )
-        if isinstance(node, PackedNode) and _LITTLE_ENDIAN and _ARRAY_U32_OK:
+        if _LITTLE_ENDIAN and _ARRAY_U32_OK:
             image += node.coords.tobytes()
             image += node.children.tobytes()
         else:
-            coords: List[float] = []
-            children: List[int] = []
-            for entry in node.entries:
-                coords.extend(entry.rect.as_tuple())
-                children.append(entry.child)
-            image += struct.pack(f"<{4 * count}d", *coords)
-            image += struct.pack(f"<{count}I", *children)
+            image += struct.pack(f"<{4 * count}d", *node.coords)
+            image += struct.pack(f"<{count}I", *node.children)
         return bytes(image)
 
     # -- decode ----------------------------------------------------------------
@@ -246,42 +227,22 @@ class NodeCodec:
         children_end = coords_end + count * _CHILD_BYTES
         if len(data) < children_end:
             raise SerializationError("truncated entry blocks in page image")
-        parent_page = None if parent == _NO_PARENT else parent
-
-        node: Node
-        if self.node_layout == "packed":
-            packed = PackedNode(page_id=page_id, level=level, parent_page_id=parent_page)
-            packed.coords.frombytes(data[coords_start:coords_end])
-            if _ARRAY_U32_OK:
-                packed.children.frombytes(data[coords_end:children_end])
-            else:
-                packed.children.extend(
-                    struct.unpack(f"<{count}I", data[coords_end:children_end])
-                )
-            if not _LITTLE_ENDIAN:
-                packed.coords.byteswap()
-                if _ARRAY_U32_OK:
-                    packed.children.byteswap()
-            node = packed
+        node = Node(
+            page_id=page_id,
+            level=level,
+            parent_page_id=None if parent == _NO_PARENT else parent,
+        )
+        node.coords.frombytes(data[coords_start:coords_end])
+        if _ARRAY_U32_OK:
+            node.children.frombytes(data[coords_end:children_end])
         else:
-            values = struct.unpack(f"<{4 * count}d", data[coords_start:coords_end])
-            children = struct.unpack(f"<{count}I", data[coords_end:children_end])
-            entries = [
-                Entry(
-                    Rect._raw(
-                        values[base], values[base + 1], values[base + 2], values[base + 3]
-                    ),
-                    child,
-                )
-                for base, child in zip(range(0, 4 * count, 4), children)
-            ]
-            node = make_node(
-                "object",
-                page_id=page_id,
-                level=level,
-                entries=entries,
-                parent_page_id=parent_page,
+            node.children.extend(
+                struct.unpack(f"<{count}I", data[coords_end:children_end])
             )
+        if not _LITTLE_ENDIAN:
+            node.coords.byteswap()
+            if _ARRAY_U32_OK:
+                node.children.byteswap()
         if flags & _FLAG_HAS_STORED_MBR:
             node.stored_mbr = Rect._raw(sx0, sy0, sx1, sy1)
         return node

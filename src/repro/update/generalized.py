@@ -183,7 +183,7 @@ class GeneralizedBottomUpUpdate(UpdateStrategy):
         needs_adjust = False  # in-place-only groups never touch the parent
 
         # 2. Batched directional extension.
-        if residuals and leaf.entries:
+        if residuals and len(leaf):
             running = leaf.effective_mbr()
             still: List[BatchUpdate] = []
             extended = False
@@ -266,7 +266,7 @@ class GeneralizedBottomUpUpdate(UpdateStrategy):
         moves: Dict[int, List[BatchUpdate]] = {}
         residuals: List[BatchUpdate] = []
         for request in requests:
-            if removable <= 0 or leaf.find_entry(request.oid) is None:
+            if removable <= 0 or not leaf.has_child(request.oid):
                 residuals.append(request)
                 continue
             target: Optional[int] = None
@@ -276,7 +276,7 @@ class GeneralizedBottomUpUpdate(UpdateStrategy):
                 if page not in siblings:
                     siblings[page] = self.tree.read_node(page)
                     planned[page] = 0
-                room = self.tree.leaf_capacity - len(siblings[page].entries)
+                room = self.tree.leaf_capacity - len(siblings[page])
                 if planned[page] < room:
                     target = page
                     break
@@ -325,7 +325,7 @@ class GeneralizedBottomUpUpdate(UpdateStrategy):
         if leaf_page is None:
             return self.insert_lock_scope(new_location)
         leaf = self.tree.peek_node(leaf_page)
-        if leaf.find_entry(oid) is None:
+        if not leaf.has_child(oid):
             return super().lock_scope(oid, old_location, new_location)
 
         requests = [GranuleLockRequest(leaf_page, LockMode.EXCLUSIVE)]
@@ -510,20 +510,22 @@ class GeneralizedBottomUpUpdate(UpdateStrategy):
         # The bit vector identifies non-full siblings without disk access, but
         # the sibling MBRs live in the parent node, which has to be read.
         is_full = self.summary.leaf_bits.is_full
-        candidate_pages = {
-            page
+        leaf_page = leaf.page_id
+        if not any(
+            page != leaf_page and not is_full(page)
             for page in parent_entry.child_page_ids
-            if page != leaf.page_id and not is_full(page)
-        }
-        if not candidate_pages:
+        ):
             return None
 
         parent_node = self.tree.read_node(parent_entry.page_id)
-        chosen_page: Optional[int] = None
-        for page in parent_node.contains_point_children(new_location):
-            if page in candidate_pages:
-                chosen_page = page
-                break
+        chosen_page = next(
+            (
+                page
+                for page in parent_node.contains_point_children(new_location)
+                if page != leaf_page and not is_full(page)
+            ),
+            None,
+        )
         if chosen_page is None:
             return None
 

@@ -174,7 +174,7 @@ class LocalizedBottomUpUpdate(UpdateStrategy):
 
         if (
             residuals
-            and leaf.entries
+            and len(leaf)
             and leaf.parent_page_id is not None
             and self.tree.disk.contains(leaf.parent_page_id)
         ):
@@ -227,7 +227,7 @@ class LocalizedBottomUpUpdate(UpdateStrategy):
         if leaf_page is None:
             return self.insert_lock_scope(new_location)
         leaf = self.tree.peek_node(leaf_page)
-        if leaf.find_entry(oid) is None:
+        if not leaf.has_child(oid):
             return super().lock_scope(oid, old_location, new_location)
 
         requests = [GranuleLockRequest(leaf_page, LockMode.EXCLUSIVE)]
@@ -243,7 +243,7 @@ class LocalizedBottomUpUpdate(UpdateStrategy):
         ):
             return super().lock_scope(oid, old_location, new_location)
         parent = self.tree.peek_node(leaf.parent_page_id)
-        if parent.find_entry(leaf_page) is None:
+        if not parent.has_child(leaf_page):
             return super().lock_scope(oid, old_location, new_location)
         requests.append(
             GranuleLockRequest(parent.page_id, LockMode.INTENTION_EXCLUSIVE)

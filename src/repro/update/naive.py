@@ -80,8 +80,8 @@ class NaiveBottomUpUpdate(UpdateStrategy):
             return self.insert_lock_scope(new_location)
         leaf = self.tree.peek_node(leaf_page)
         if (
-            leaf.find_entry(oid) is not None
-            and leaf.entries
+            leaf.has_child(oid)
+            and len(leaf)
             and leaf.effective_mbr().contains_point(new_location)
         ):
             return [

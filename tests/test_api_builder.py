@@ -44,6 +44,22 @@ class TestConfigCodec:
         assert config.page_size == IndexConfig().page_size
         assert config.params == TuningParameters.paper_defaults()
 
+    @pytest.mark.parametrize("layout", ("object", "packed"))
+    def test_legacy_node_layout_key_is_ignored(self, layout):
+        spec = {"strategy": "TD", "node_layout": layout}
+        assert config_from_spec(spec) == config_from_spec({"strategy": "TD"})
+        index = open_index({"config": spec})
+        assert "node_layout" not in index_spec(index)["config"]
+
+    def test_unknown_legacy_node_layout_rejected(self):
+        with pytest.raises(ValueError):
+            config_from_spec({"node_layout": "rowwise"})
+        with pytest.raises(ValueError):
+            open_index({"config": {"node_layout": "rowwise"}})
+
+    def test_emitted_spec_has_no_node_layout_key(self):
+        assert "node_layout" not in config_to_spec(IndexConfig())
+
 
 class TestOpenIndex:
     def test_default_spec_builds_a_single_index(self):

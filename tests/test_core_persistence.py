@@ -1,5 +1,6 @@
 """Tests for index checkpointing (save/load), single and sharded."""
 
+import json
 import random
 
 import pytest
@@ -103,6 +104,26 @@ class TestRoundTrip:
         checkpoint.write_text(json.dumps(document))
         with pytest.raises(ValueError):
             load_index(checkpoint)
+
+    def test_checkpoint_naming_the_object_node_layout_still_loads(self, tmp_path):
+        # Checkpoints written while nodes had two layouts carry the layout
+        # in their config section; the page images never depended on it.
+        original = build_and_churn(num_objects=200, updates=200)
+        checkpoint = tmp_path / "index.json"
+        save_index(original, checkpoint)
+        document = json.loads(checkpoint.read_text())
+        document["config"]["node_layout"] = "object"
+        checkpoint.write_text(json.dumps(document))
+        restored = load_index(checkpoint)
+        restored.validate()
+        assert restored.config == original.config
+        rng = random.Random(17)
+        for _ in range(20):
+            cx, cy, s = rng.random(), rng.random(), rng.uniform(0, 0.3)
+            window = Rect(max(0, cx - s), max(0, cy - s), min(1, cx + s), min(1, cy + s))
+            assert sorted(restored.range_query(window)) == sorted(original.range_query(window))
+            point = Point(cx, cy)
+            assert restored.knn(point, 7) == original.knn(point, 7)
 
     def test_io_counters_start_fresh_after_load(self, tmp_path):
         original = build_and_churn(num_objects=100, updates=100)

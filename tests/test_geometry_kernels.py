@@ -1,8 +1,8 @@
 """Property tests: the batch kernels agree exactly with the scalar Rect ops.
 
-The packed node layout answers every geometric question through
+An R-tree node answers every geometric question through
 :mod:`repro.geometry.kernels` instead of per-entry :class:`Rect` calls, so
-layout equivalence rests on one contract: **each kernel reproduces the scalar
+the tree's answers rest on one contract: **each kernel reproduces the scalar
 predicate exactly** — same floats, same booleans, same tie-breaks — on every
 backend.  These properties drive random rectangle buffers (including
 degenerate point-rects and exactly-touching edges, the cases the moving-point

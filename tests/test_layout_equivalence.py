@@ -1,12 +1,13 @@
-"""Packed columnar layout ≡ object layout, with and without binary pages.
+"""Binary page store ≡ object page store.
 
-The paper's numbers are all I/O counts; the packed layout and the binary
-page store are CPU/representation changes that must be invisible to them.
-These tests run identical workloads through every combination of
-``node_layout`` × ``page_store`` and require **identical** query answers,
-outcome counts, and logical *and* physical I/O statistics — for all four
-update strategies, on the per-operation path, the group-by-leaf batch path,
-and the concurrent engine path.
+The paper's numbers are all I/O counts; the binary page store (every page
+access encodes or decodes a page image) is a representation change that
+must be invisible to them.  These tests run identical workloads against
+``page_store="object"`` and ``page_store="binary"`` and require
+**identical** query answers, outcome counts, and logical *and* physical I/O
+statistics — for all four update strategies, on the per-operation path, the
+group-by-leaf batch path, the concurrent engine path and a mixed
+insert/update/delete/query stream.
 """
 
 import random
@@ -16,14 +17,8 @@ import pytest
 from repro.api import Update
 from repro.core import IndexConfig, MovingObjectIndex
 from repro.geometry import Point, Rect
-from repro.rtree.node import Entry, Node, PackedNode, make_node
 
 STRATEGIES = ("TD", "NAIVE", "LBU", "GBU")
-VARIANTS = (
-    ("packed", "object"),
-    ("object", "binary"),
-    ("packed", "binary"),
-)
 
 
 def make_workload(objects=600, moves=1200, seed=97):
@@ -40,12 +35,8 @@ def make_workload(objects=600, moves=1200, seed=97):
     return points, updates, windows
 
 
-def build(strategy, node_layout="object", page_store="object"):
-    config = IndexConfig(
-        strategy=strategy, node_layout=node_layout, page_store=page_store
-    )
-    index = MovingObjectIndex(config)
-    return index
+def build(strategy, page_store="object"):
+    return MovingObjectIndex(IndexConfig(strategy=strategy, page_store=page_store))
 
 
 def io_tuple(index):
@@ -92,9 +83,8 @@ class TestPerOperationEquivalence:
     def test_all_variants_match_object_baseline(self, strategy):
         workload = make_workload()
         baseline = run_per_op(build(strategy), *workload)
-        for node_layout, page_store in VARIANTS:
-            result = run_per_op(build(strategy, node_layout, page_store), *workload)
-            assert result == baseline, (strategy, node_layout, page_store)
+        result = run_per_op(build(strategy, "binary"), *workload)
+        assert result == baseline, strategy
 
 
 class TestBatchEquivalence:
@@ -102,9 +92,8 @@ class TestBatchEquivalence:
     def test_group_by_leaf_path_matches(self, strategy):
         workload = make_workload(seed=131)
         baseline = run_batch(build(strategy), *workload)
-        for node_layout, page_store in VARIANTS:
-            result = run_batch(build(strategy, node_layout, page_store), *workload)
-            assert result == baseline, (strategy, node_layout, page_store)
+        result = run_batch(build(strategy, "binary"), *workload)
+        assert result == baseline, strategy
 
 
 class TestEngineEquivalence:
@@ -112,9 +101,8 @@ class TestEngineEquivalence:
     def test_concurrent_engine_path_matches(self, strategy):
         workload = make_workload(objects=400, moves=600, seed=53)
         baseline = run_engine(build(strategy), *workload)
-        for node_layout, page_store in VARIANTS:
-            result = run_engine(build(strategy, node_layout, page_store), *workload)
-            assert result == baseline, (strategy, node_layout, page_store)
+        result = run_engine(build(strategy, "binary"), *workload)
+        assert result == baseline, strategy
 
 
 class TestInsertDeleteEquivalence:
@@ -136,84 +124,12 @@ class TestInsertDeleteEquivalence:
             else:
                 operations.append(("range_query", Rect(0.2, 0.2, 0.6, 0.6)))
 
-        def run(node_layout, page_store):
-            index = build("GBU", node_layout, page_store)
+        def run(page_store):
+            index = build("GBU", page_store)
             result = index.apply(operations)
             index.validate()
             return result.queries, sorted(
                 index.range_query(Rect(0.0, 0.0, 1.0, 1.0))
             ), io_tuple(index)
 
-        baseline = run("object", "object")
-        for node_layout, page_store in VARIANTS:
-            assert run(node_layout, page_store) == baseline, (node_layout, page_store)
-
-
-class TestPackedNodeUnit:
-    """Direct unit coverage of the packed layout's entry facade."""
-
-    def leaf(self):
-        node = PackedNode(page_id=9, level=0)
-        node.add_entry(Entry(Rect(0.1, 0.1, 0.2, 0.2), 101))
-        node.add_entry(Entry(Rect(0.3, 0.3, 0.4, 0.4), 102))
-        node.add_entry(Entry(Rect(0.5, 0.5, 0.6, 0.6), 103))
-        return node
-
-    def test_entries_view_yields_detached_snapshots(self):
-        node = self.leaf()
-        assert [entry.child for entry in node.entries] == [101, 102, 103]
-        snapshot = node.entries[1]
-        snapshot.rect = Rect(0.0, 0.0, 1.0, 1.0)
-        assert node.entries[1].rect == Rect(0.3, 0.3, 0.4, 0.4)
-
-    def test_find_entry_writes_through(self):
-        node = self.leaf()
-        ref = node.find_entry(102)
-        ref.rect = Rect(0.7, 0.7, 0.8, 0.8)
-        assert node.entries[1].rect == Rect(0.7, 0.7, 0.8, 0.8)
-        assert node.mbr() == Rect(0.1, 0.1, 0.8, 0.8)
-
-    def test_find_entry_ref_survives_other_removals(self):
-        node = self.leaf()
-        ref = node.find_entry(103)
-        node.remove_entry(101)
-        ref.rect = Rect(0.9, 0.9, 0.95, 0.95)
-        assert node.find_entry(103).rect == Rect(0.9, 0.9, 0.95, 0.95)
-
-    def test_remove_and_pop_keep_columns_aligned(self):
-        node = self.leaf()
-        removed = node.remove_entry(102)
-        assert removed.child == 102 and removed.rect == Rect(0.3, 0.3, 0.4, 0.4)
-        assert node.child_ids() == [101, 103]
-        assert [entry.rect for entry in node.entries] == [
-            Rect(0.1, 0.1, 0.2, 0.2),
-            Rect(0.5, 0.5, 0.6, 0.6),
-        ]
-        assert node.remove_entry(999) is None
-
-    def test_entries_setter_accepts_own_view_slice(self):
-        node = self.leaf()
-        node.entries = node.entries[:2]
-        assert node.child_ids() == [101, 102]
-        assert len(node) == 2 and len(node.coords) == 8
-
-    def test_scan_methods_match_object_layout(self):
-        entries = [
-            Entry(Rect(0.1, 0.1, 0.4, 0.4), 1),
-            Entry(Rect(0.35, 0.35, 0.7, 0.7), 2),
-            Entry(Rect(0.8, 0.8, 0.9, 0.9), 3),
-        ]
-        object_node = make_node("object", page_id=1, level=1, entries=entries)
-        packed_node = make_node("packed", page_id=1, level=1, entries=entries)
-        assert isinstance(object_node, Node) and isinstance(packed_node, PackedNode)
-        window = Rect(0.3, 0.3, 0.5, 0.5)
-        point = Point(0.38, 0.38)
-        assert packed_node.intersecting_children(window) == object_node.intersecting_children(window)
-        assert packed_node.contains_point_children(point) == object_node.contains_point_children(point)
-        assert packed_node.choose_subtree_child(Rect.from_point(point)) == object_node.choose_subtree_child(Rect.from_point(point))
-        assert packed_node.entry_distances(point) == object_node.entry_distances(point)
-        assert packed_node.mbr() == object_node.mbr()
-
-    def test_make_node_rejects_unknown_layout(self):
-        with pytest.raises(ValueError):
-            make_node("rowwise", page_id=1, level=0)
+        assert run("binary") == run("object")

@@ -256,7 +256,7 @@ class TestTraversalHelpers:
             tree.insert(oid, point)
         # Corrupt a parent entry MBR directly.
         root = tree.peek_node(tree.root_page_id)
-        root.entries[0].rect = Rect(0.0, 0.0, 1e-6, 1e-6)
+        root.find_entry(root.child_ids()[0]).rect = Rect(0.0, 0.0, 1e-6, 1e-6)
         with pytest.raises(ValidationError):
             validate_tree(tree)
 

@@ -7,14 +7,16 @@ Two codecs, two contracts:
   nearest binary32, **exactly** :func:`coordinate_quantum`, and become fully
   lossless with ``coordinate_size=8``;
 * the live page-store codec (:class:`NodeCodec`) is always binary64 and
-  must reproduce every node bit for bit, in both node layouts, because the
-  index actually runs on what it decodes.
+  must reproduce every node bit for bit, because the index actually runs on
+  what it decodes.
 """
+
+import struct
 
 import pytest
 
 from repro.geometry import Point, Rect
-from repro.rtree.node import Entry, Node, PackedNode
+from repro.rtree.node import Entry, Node
 from repro.storage import PageLayout
 from repro.storage.serialization import (
     NodeCodec,
@@ -30,10 +32,20 @@ from repro.storage.serialization import (
 LOSSY_COORDS = (0.1, 0.1 + 1e-12, 1.0 / 3.0, 0.7000000123456789)
 
 
-def sample_node(cls=Node):
-    node = cls(page_id=5, level=0, parent_page_id=17)
+def sample_node():
+    node = Node(page_id=5, level=0, parent_page_id=17)
     node.add_entry(Entry(Rect(LOSSY_COORDS[0], LOSSY_COORDS[1], 0.5, 0.5), 7))
     node.add_entry(Entry(Rect(LOSSY_COORDS[2], 0.2, LOSSY_COORDS[3], 0.9), 8))
+    node.stored_mbr = Rect(0.05, 0.05, 0.95, 0.95)
+    return node
+
+
+def sample_node_from_columns():
+    """The same node as :func:`sample_node`, built by writing its columns."""
+    node = Node(page_id=5, level=0, parent_page_id=17)
+    node.coords.extend((LOSSY_COORDS[0], LOSSY_COORDS[1], 0.5, 0.5))
+    node.coords.extend((LOSSY_COORDS[2], 0.2, LOSSY_COORDS[3], 0.9))
+    node.children.extend((7, 8))
     node.stored_mbr = Rect(0.05, 0.05, 0.95, 0.95)
     return node
 
@@ -104,12 +116,19 @@ class TestSizingCodecF64:
 
 
 class TestNodeCodecRoundTrip:
-    @pytest.mark.parametrize("node_layout,cls", [("object", Node), ("packed", PackedNode)])
-    def test_lossless_round_trip(self, node_layout, cls):
-        codec = NodeCodec(node_layout=node_layout)
-        node = sample_node(cls)
+    # A node filled entry by entry and one whose packed columns were written
+    # directly must encode alike; the ids are those the cases had when the
+    # two were separate node classes.
+    @pytest.mark.parametrize(
+        "build",
+        [sample_node, sample_node_from_columns],
+        ids=["object-Node", "packed-PackedNode"],
+    )
+    def test_lossless_round_trip(self, build):
+        codec = NodeCodec()
+        node = build()
         restored = codec.decode(5, codec.encode(node))
-        assert type(restored) is cls
+        assert type(restored) is Node
         assert restored.level == 0
         assert restored.parent_page_id == 17
         assert restored.stored_mbr.as_tuple() == node.stored_mbr.as_tuple()
@@ -119,31 +138,21 @@ class TestNodeCodecRoundTrip:
             e.rect.as_tuple() for e in node.entries
         ]
 
-    def test_cross_layout_images_are_identical(self):
-        object_image = NodeCodec(node_layout="object").encode(sample_node(Node))
-        packed_image = NodeCodec(node_layout="packed").encode(sample_node(PackedNode))
-        assert object_image == packed_image
-
-    def test_decode_into_either_layout(self):
-        image = NodeCodec(node_layout="object").encode(sample_node(Node))
-        packed = NodeCodec(node_layout="packed").decode(5, image)
-        assert isinstance(packed, PackedNode)
-        assert [e.rect.as_tuple() for e in packed.entries] == [
-            e.rect.as_tuple() for e in sample_node().entries
-        ]
+    def test_image_body_is_the_node_columns(self):
+        node = sample_node()
+        coords, children = list(node.coords), list(node.children)
+        body = struct.pack(f"<{len(coords)}d", *coords)
+        body += struct.pack(f"<{len(children)}I", *children)
+        assert NodeCodec().encode(node).endswith(body)
 
     def test_empty_node_round_trip(self):
-        codec = NodeCodec(node_layout="packed")
-        node = PackedNode(page_id=2, level=3)
+        codec = NodeCodec()
+        node = Node(page_id=2, level=3)
         restored = codec.decode(2, codec.encode(node))
         assert restored.level == 3
         assert len(restored) == 0
         assert restored.parent_page_id is None
         assert restored.stored_mbr is None
-
-    def test_unknown_layout_rejected(self):
-        with pytest.raises(ValueError):
-            NodeCodec(node_layout="rowwise")
 
     def test_truncated_image_rejected(self):
         codec = NodeCodec()
@@ -161,7 +170,7 @@ class TestNodeCodecRoundTrip:
 class TestBinaryPageStoreBehaviour:
     """Pages hold bytes; every logical read decodes a fresh node."""
 
-    def build_tree(self, node_layout="packed"):
+    def build_tree(self):
         from repro.storage import BufferPool, DiskManager, IOStatistics
         from repro.rtree import RTree
 
@@ -170,8 +179,7 @@ class TestBinaryPageStoreBehaviour:
         tree = RTree(
             BufferPool(disk, 0, stats),
             layout=PageLayout(page_size=256),
-            node_layout=node_layout,
-            page_codec=NodeCodec(node_layout=node_layout),
+            page_codec=NodeCodec(),
         )
         return tree, stats
 
